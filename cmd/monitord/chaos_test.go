@@ -14,7 +14,7 @@ import (
 // chaosSpec injects spikes, dropouts, and NaN bursts into VM3's streams
 // while VM2 stays clean. The spiked streams keep retraining at the minimum
 // QA spacing — thrash — until the circuit breaker opens and the pipelines
-// degrade to the fallback selector. The spike rate matters: retraining on
+// degrade to the tournament rung. The spike rate matters: retraining on
 // spiky history inflates the normalizer's scale, which mutes rare huge
 // spikes in the audit, so frequent moderate spikes (p=0.1/minute) are what
 // keep the normalized audit MSE above threshold after every retrain.
@@ -69,8 +69,8 @@ func TestChaosPipelineResilience(t *testing.T) {
 		}
 		// Never silently Healthy: the faulted stream must surface its
 		// trouble — a degraded end state and a tripped breaker.
-		if p.Health != core.Degraded.String() && p.Health != core.Fallback.String() {
-			t.Errorf("%s: health %s, want Degraded or Fallback", key, p.Health)
+		if p.Health != core.Tournament.String() && p.Health != core.Fallback.String() {
+			t.Errorf("%s: health %s, want Tournament or Fallback", key, p.Health)
 		}
 		if p.BreakerTrips == 0 {
 			t.Errorf("%s: breaker never tripped under sustained faults", key)
@@ -144,7 +144,7 @@ func TestChaosSummaryReportsDegradation(t *testing.T) {
 	if !strings.Contains(out, "pipelines with incidents") {
 		t.Errorf("summary does not surface incidents:\n%s", out)
 	}
-	if !strings.Contains(out, core.Degraded.String()) {
-		t.Errorf("summary never labels a pipeline Degraded:\n%s", out)
+	if !strings.Contains(out, core.Tournament.String()) {
+		t.Errorf("summary never labels a pipeline Tournament:\n%s", out)
 	}
 }

@@ -183,7 +183,9 @@ type pipeline struct {
 }
 
 // PipeStatus is the per-pipeline document published on the status endpoint
-// and in the run summary.
+// and in the run summary. DegradedForecasts counts every forecast served
+// below LAR except last-resort ones: the tournament and its in-rung
+// selector.
 type PipeStatus struct {
 	Key               string  `json:"key"`
 	Health            string  `json:"health"`
@@ -647,7 +649,7 @@ func pipeStatuses(pipes []*pipeline, db *preddb.DB, now time.Time) []PipeStatus 
 			RetrainFailures:   hs.RetrainFailures,
 			BreakerOpen:       hs.BreakerOpen,
 			BreakerTrips:      hs.BreakerTrips,
-			DegradedForecasts: hs.DegradedForecasts,
+			DegradedForecasts: hs.TournamentForecasts + hs.SelectorForecasts,
 			FallbackForecasts: hs.FallbackForecasts,
 			Panics:            p.panics,
 			Restarts:          p.restarts,

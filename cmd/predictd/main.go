@@ -58,8 +58,6 @@ func main() {
 		train      = flag.Int("train", 60, "samples before initial training")
 		audit      = flag.Int("audit", 12, "QA audit window (scored predictions)")
 		thresh     = flag.Float64("threshold", 2.0, "QA normalized-MSE retrain threshold")
-		tourney    = flag.Bool("tournament", true, "enable the tournament meta-selector tier between the trained model and the windowed-MSE selector")
-		drift      = flag.Bool("drift", true, "enable proactive drift demotion to the tournament tier (requires -tournament)")
 		stateDir   = flag.String("state", "", "state directory for durable snapshots; empty runs stateless")
 		snapEvery  = flag.Duration("snapshot-every", 5*time.Minute, "interval between durable snapshots (0 disables periodic snapshots)")
 		durability = flag.String("durability", "snapshot", "durability mode: snapshot (acks best-effort until the next snapshot) or wal (every ack fsynced to a write-ahead log; requires -state and -backpressure=block)")
@@ -92,8 +90,6 @@ func main() {
 		trainSize:    *train,
 		auditWin:     *audit,
 		threshold:    *thresh,
-		tournament:   *tourney,
-		drift:        *drift,
 		stateDir:     *stateDir,
 		snapEvery:    *snapEvery,
 		durability:   *durability,
@@ -131,8 +127,6 @@ type options struct {
 	trainSize    int
 	auditWin     int
 	threshold    float64
-	tournament   bool
-	drift        bool
 	stateDir     string
 	snapEvery    time.Duration
 	durability   string
@@ -240,26 +234,16 @@ func run(ctx context.Context, out io.Writer, o options) error {
 			return err
 		}
 	}
-	if o.drift && !o.tournament {
-		return errors.New("-drift requires -tournament")
-	}
 	newStream := func(id string) (*core.Online, error) {
-		cfg := core.OnlineConfig{
+		// Drift demotion stays on, as the removed -drift flag defaulted:
+		// turning it off would change every served forecast.
+		return core.NewOnline(core.OnlineConfig{
 			Predictor:    core.DefaultConfig(o.window),
 			TrainSize:    o.trainSize,
 			AuditWindow:  o.auditWin,
 			MSEThreshold: o.threshold,
-		}
-		// Tournament/drift configs participate in the snapshot config
-		// fingerprint, so toggling the flags cold-starts restored streams
-		// rather than silently reinterpreting their state.
-		if o.tournament {
-			cfg.Tournament = &tournament.Config{}
-		}
-		if o.drift {
-			cfg.Drift = &tournament.DriftConfig{}
-		}
-		return core.NewOnline(cfg)
+			Drift:        &tournament.DriftConfig{},
+		})
 	}
 
 	tiers, err := parseHistoryTiers(o.historyTiers)
@@ -350,6 +334,7 @@ func run(ctx context.Context, out io.Writer, o options) error {
 				Engine:         eng,
 				Cache:          cache,
 				Dedup:          ws.dedup,
+				Commits:        &ws.mu,
 				NewStream:      newStream,
 				History:        hist,
 				Registry:       reg,

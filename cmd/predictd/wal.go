@@ -28,7 +28,8 @@ import (
 // Locking: request-path commits hold mu.RLock across dedup+append+enqueue;
 // the snapshot path holds mu.Lock across drain+capture+reset, so no batch
 // can land between "in the snapshot" and "in the WAL" — each acked sample
-// is durably in exactly one of the two. commitMu additionally serializes
+// is durably in exactly one of the two. A cluster handoff capture holds
+// mu.Lock too, so the dedup coverage it ships matches the predictor state. commitMu additionally serializes
 // dedup-mark+append so a concurrent duplicate (a client retrying a batch
 // whose first send is still in flight) can never pass the dedup check
 // twice; a mark only survives commitMu release if its record was appended.
@@ -36,7 +37,7 @@ import (
 // walStore owns predictd's write-ahead log, idempotency table, and group
 // syncer.
 type walStore struct {
-	mu       sync.RWMutex // RLock: commit path; Lock: snapshot capture+reset
+	mu       sync.RWMutex // RLock: commit path; Lock: snapshot or handoff capture
 	commitMu sync.Mutex   // serializes dedup marks with WAL appends
 	wal      *durable.BatchWAL
 	dedup    *server.Dedup

@@ -99,6 +99,13 @@ type Config struct {
 	// handoffs, so a failover replica (and a rejoining node) serves range
 	// queries without a gap instead of rebuilding history from zero.
 	History *server.HistoryStore
+	// Commits, when set, is held across a handoff capture so no sample the
+	// dedup table has admitted is still on its way to the engine: the
+	// shipped predictor, history and dedup coverage then describe the same
+	// samples. Without it a recipient can merge coverage for an in-flight
+	// batch, install a predictor that lacks it, and drop the batch's
+	// replicated copy as a duplicate. predictd passes its WAL commit lock.
+	Commits sync.Locker
 
 	// Registry instruments the node; nil leaves it uninstrumented.
 	Registry *obs.Registry
@@ -513,11 +520,15 @@ type handoffRequest struct {
 }
 
 // handoffFor captures every local stream the requester owns or follows.
-// The engine is drained first so predictor state reflects every sample the
-// dedup table has admitted; per-stream capture runs under the shard lock,
-// exactly like the durable snapshot path.
+// With commits held out, the engine is drained so predictor state reflects
+// every sample the dedup table has admitted; per-stream capture runs under
+// the shard lock, exactly like the durable snapshot path.
 func (n *Node) handoffFor(requester string) handoffDoc {
 	doc := handoffDoc{Node: n.cfg.Self, Streams: map[string]handoffStream{}}
+	if n.cfg.Commits != nil {
+		n.cfg.Commits.Lock()
+		defer n.cfg.Commits.Unlock()
+	}
 	n.cfg.Engine.Drain()
 	var ids []string
 	n.cfg.Engine.Each(func(id string, _ engine.StreamStats) { ids = append(ids, id) })

@@ -48,10 +48,10 @@ var (
 	onlineStateMagic = [8]byte{'L', 'A', 'R', 'P', 'O', 'N', 'L', '1'}
 )
 
-// stateVersion 2: the Health enum gained the Tournament rung between
-// Healthy and Degraded, renumbering every deeper rung, and the payload
-// gained the tournament/drift state — version-1 snapshots would silently
-// restore the wrong health, so they are rejected at the frame layer.
+// stateVersion 2: the Health enum gained the Tournament rung after Healthy,
+// renumbering every deeper rung, and the payload gained the
+// tournament/drift state — version-1 snapshots would silently restore the
+// wrong health, so they are rejected at the frame layer.
 const stateVersion uint32 = 2
 
 // writeFramed writes magic + version + gob(payload) + CRC32 footer.
@@ -349,13 +349,17 @@ type onlineState struct {
 	LastErr              string
 	RetrainFailures      int
 	BreakerTrips         int
-	DegradedForecasts    int
-	FallbackForecasts    int
-	TournamentForecasts  int
-	DriftDemotions       int
+	// DegradedForecasts carries HealthStats.SelectorForecasts; the gob
+	// field keeps its original name so the format is unchanged.
+	DegradedForecasts   int
+	FallbackForecasts   int
+	TournamentForecasts int
+	DriftDemotions      int
 
-	// Tournament tier and drift detector, present only when the feature was
-	// enabled on the saving predictor; presence must match on restore.
+	// HasTournament is always true: every predictor has the tournament
+	// tier, and a snapshot without it is rejected. The drift detector is
+	// present only when drift demotion was enabled on the saving
+	// predictor; presence must match on restore.
 	HasTournament   bool
 	TournamentCfg   tournament.Config
 	TournamentState tournament.State
@@ -409,18 +413,16 @@ func (o *Online) SaveState(w io.Writer) error {
 		ThrashRun:           o.thrashRun,
 		RetrainFailures:     o.retrainFailures,
 		BreakerTrips:        o.breakerTrips,
-		DegradedForecasts:   o.degradedForecasts,
+		DegradedForecasts:   o.selectorForecasts,
 		FallbackForecasts:   o.fallbackForecasts,
 		TournamentForecasts: o.tournamentForecasts,
 		DriftDemotions:      o.driftDemotions,
+		HasTournament:       true,
+		TournamentCfg:       *o.cfg.Tournament,
+		TournamentState:     o.tour.State(),
 	}
 	if o.lastErr != nil {
 		s.LastErr = o.lastErr.Error()
-	}
-	if o.tour != nil {
-		s.HasTournament = true
-		s.TournamentCfg = *o.cfg.Tournament
-		s.TournamentState = o.tour.State()
 	}
 	if o.drift != nil {
 		s.HasDrift = true
@@ -460,14 +462,24 @@ func (o *Online) RestoreState(r io.Reader) error {
 		return fmt.Errorf("core: online state history of %d > max %d: %w",
 			len(s.History), o.cfg.MaxHistory, ErrBadState)
 	}
-	if s.Health < int(Healthy) || s.Health > int(Failed) {
+	// Training, and every rung below Healthy, follows at least TrainSize
+	// observations, and history never shrinks below that; the retrain path
+	// relies on it.
+	if (s.LAR.Trained || s.Health != int(Healthy) || s.BreakerOpen || s.HalfOpen) &&
+		len(s.History) < o.cfg.TrainSize {
+		return fmt.Errorf("core: online state history of %d < train size %d: %w",
+			len(s.History), o.cfg.TrainSize, ErrBadState)
+	}
+	switch Health(s.Health) {
+	case Healthy, Tournament, Fallback, Failed:
+	default:
 		return fmt.Errorf("core: online state health %d: %w", s.Health, ErrBadState)
 	}
-	if s.HasTournament != (o.tour != nil) || s.HasDrift != (o.drift != nil) {
-		return fmt.Errorf("core: online state tournament/drift presence %v/%v, predictor %v/%v: %w",
-			s.HasTournament, s.HasDrift, o.tour != nil, o.drift != nil, ErrStateMismatch)
+	if !s.HasTournament || s.HasDrift != (o.drift != nil) {
+		return fmt.Errorf("core: online state tournament/drift presence %v/%v, predictor true/%v: %w",
+			s.HasTournament, s.HasDrift, o.drift != nil, ErrStateMismatch)
 	}
-	if o.tour != nil && s.TournamentCfg != *o.cfg.Tournament {
+	if s.TournamentCfg != *o.cfg.Tournament {
 		return fmt.Errorf("core: online state under different tournament config: %w", ErrStateMismatch)
 	}
 	if o.drift != nil && s.DriftCfg != *o.cfg.Drift {
@@ -479,10 +491,8 @@ func (o *Online) RestoreState(r io.Reader) error {
 	if err := o.selector.SetState(s.Selector); err != nil {
 		return fmt.Errorf("core: restore fallback selector: %w: %v", ErrBadState, err)
 	}
-	if o.tour != nil {
-		if err := o.tour.SetState(s.TournamentState); err != nil {
-			return fmt.Errorf("core: restore tournament selector: %w: %v", ErrBadState, err)
-		}
+	if err := o.tour.SetState(s.TournamentState); err != nil {
+		return fmt.Errorf("core: restore tournament selector: %w: %v", ErrBadState, err)
 	}
 	if o.drift != nil {
 		if err := o.drift.SetState(s.DriftState); err != nil {
@@ -514,7 +524,7 @@ func (o *Online) RestoreState(r io.Reader) error {
 	}
 	o.retrainFailures = s.RetrainFailures
 	o.breakerTrips = s.BreakerTrips
-	o.degradedForecasts = s.DegradedForecasts
+	o.selectorForecasts = s.DegradedForecasts
 	o.fallbackForecasts = s.FallbackForecasts
 	o.tournamentForecasts = s.TournamentForecasts
 	o.driftDemotions = s.DriftDemotions

@@ -344,3 +344,68 @@ func TestOnlineRestoreCorrupt(t *testing.T) {
 		t.Fatal("target unusable after failed restores")
 	}
 }
+
+// rewriteState decodes an Online snapshot, applies edit to its payload, and
+// re-frames it with a valid checksum, so a test can hand-craft states the
+// live predictor never writes.
+func rewriteState(t *testing.T, o *Online, edit func(*onlineState)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s onlineState
+	if err := readFramed(&buf, onlineStateMagic, &s); err != nil {
+		t.Fatal(err)
+	}
+	edit(&s)
+	buf.Reset()
+	if err := writeFramed(&buf, onlineStateMagic, &s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOnlineRestoreRejectsRetiredHealth: health value 2 belongs to a
+// retired rung; a snapshot carrying it is invalid.
+func TestOnlineRestoreRejectsRetiredHealth(t *testing.T) {
+	o, err := NewOnline(onlineCfg(5, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []int{-1, 2, 5} {
+		blob := rewriteState(t, o, func(s *onlineState) { s.Health = h })
+		if err := o.RestoreState(bytes.NewReader(blob)); !errors.Is(err, ErrBadState) {
+			t.Errorf("health %d: err = %v, want ErrBadState", h, err)
+		}
+	}
+}
+
+// TestOnlineRestoreRejectsShortHistory: a trained or demoted state must
+// carry the TrainSize samples its next retrain slices from history.
+func TestOnlineRestoreRejectsShortHistory(t *testing.T) {
+	cfg := onlineTestConfig()
+	o := driveOnline(t, cfg, codecSeries(100))
+	edits := map[string]func(*onlineState){
+		"trained": func(s *onlineState) {},
+		"breaker open": func(s *onlineState) {
+			s.LAR.Trained, s.BreakerOpen = false, true
+		},
+		"tournament rung": func(s *onlineState) {
+			s.LAR.Trained, s.Health = false, int(Tournament)
+		},
+	}
+	for name, edit := range edits {
+		blob := rewriteState(t, o, func(s *onlineState) {
+			edit(s)
+			s.History = s.History[:cfg.TrainSize-1]
+		})
+		target, err := NewOnline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := target.RestoreState(bytes.NewReader(blob)); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s with short history: err = %v, want ErrBadState", name, err)
+		}
+	}
+}

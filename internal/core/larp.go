@@ -286,11 +286,11 @@ func (l *LARPredictor) ExpertTrainRMSE() []float64 {
 }
 
 // Forecast sources, reported in Prediction.Source. A healthy Online
-// predictor serves SourceLAR; the degraded-mode fallback chain serves
-// SourceTournament (context-indexed tournament meta-selection, when the
-// tier is enabled), SourceSelector (windowed cumulative-MSE expert
-// selection) and, at the bottom of the ladder, SourceLastResort (last
-// finite observation).
+// predictor serves SourceLAR; the Tournament rung serves SourceTournament
+// (context-indexed tournament meta-selection), or SourceSelector (windowed
+// cumulative-MSE expert selection) when the tournament's chosen expert
+// cannot forecast the window; the bottom of the ladder serves
+// SourceLastResort (last finite observation).
 const (
 	SourceLAR        = "LAR"
 	SourceTournament = "TOURNAMENT"

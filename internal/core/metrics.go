@@ -64,7 +64,7 @@ func (m *larMetrics) sampleForecast() bool {
 // larMetrics for the binding discipline.
 type onlineMetrics struct {
 	// healthState exports the current ladder rung as a number
-	// (0 Healthy … 3 Failed).
+	// (0 Healthy, 1 Tournament, 3 Fallback, 4 Failed).
 	healthState *obs.Gauge
 	// transitions counts health-state machine edges.
 	transitions *obs.CounterVec
@@ -80,8 +80,8 @@ type onlineMetrics struct {
 	// auditMSE exports the QA audit-window MSE (normalized space).
 	auditMSE *obs.Gauge
 	// forecastsSelector/forecastsLastResort/forecastsTournament count
-	// degraded-mode serves, completing the forecasts_total source family
-	// the LARPredictor starts.
+	// lower-rung serves, completing the forecasts_total source family the
+	// LARPredictor starts.
 	forecastsSelector   *obs.Counter
 	forecastsLastResort *obs.Counter
 	forecastsTournament *obs.Counter
@@ -97,7 +97,7 @@ func newOnlineMetrics(r *obs.Registry) *onlineMetrics {
 		"Forecasts served, by fallback-ladder source.", "source")
 	return &onlineMetrics{
 		healthState: r.Gauge1("larpredictor_health_state",
-			"Current fallback-ladder rung: 0 Healthy, 1 Tournament, 2 Degraded, 3 Fallback, 4 Failed."),
+			"Current fallback-ladder rung: 0 Healthy, 1 Tournament, 3 Fallback, 4 Failed."),
 		transitions: r.Counter("larpredictor_health_transitions_total",
 			"Health-state machine transitions.", "from", "to"),
 		retrainAttempts: r.Counter1("larpredictor_retrain_attempts_total",

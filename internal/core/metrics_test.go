@@ -18,7 +18,7 @@ import (
 // instruments agree with HealthStats.
 func TestOnlineHealthTransitionMetrics(t *testing.T) {
 	cfg := resilienceCfg()
-	cfg.FailureLimit = -1 // stay Degraded; terminal Failed has its own test
+	cfg.FailureLimit = -1 // stay demoted; terminal Failed has its own test
 	reg := obs.NewRegistry()
 	o, err := NewOnline(cfg, WithMetrics(reg))
 	if err != nil {
@@ -45,10 +45,10 @@ func TestOnlineHealthTransitionMetrics(t *testing.T) {
 			t.Fatalf("observation %d: %v", i, err)
 		}
 	}
-	if got := o.Health(); got != Degraded && got != Fallback {
-		t.Fatalf("health = %s after NaN bursts, want Degraded or Fallback", got)
+	if got := o.Health(); got != Tournament && got != Fallback {
+		t.Fatalf("health = %s after NaN bursts, want Tournament or Fallback", got)
 	}
-	// One degraded forecast so the selector source shows up in the family.
+	// One lower-rung forecast so its source shows up in the family.
 	if _, err := o.Forecast(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +64,14 @@ func TestOnlineHealthTransitionMetrics(t *testing.T) {
 	assertCounter("larpredictor_retrain_failures_total", nil, uint64(hs.RetrainFailures))
 	assertCounter("larpredictor_breaker_trips_total", nil, uint64(hs.BreakerTrips))
 	assertCounter("larpredictor_health_transitions_total",
-		[]string{"from", "Healthy", "to", "Degraded"}, 1)
-	degraded := uint64(hs.DegradedForecasts)
+		[]string{"from", "Healthy", "to", "Tournament"}, 1)
+	tourney := uint64(hs.TournamentForecasts)
+	selector := uint64(hs.SelectorForecasts)
 	lastResort := uint64(hs.FallbackForecasts)
-	assertCounter("larpredictor_forecasts_total", []string{"source", SourceSelector}, degraded)
+	assertCounter("larpredictor_forecasts_total", []string{"source", SourceTournament}, tourney)
+	assertCounter("larpredictor_forecasts_total", []string{"source", SourceSelector}, selector)
 	assertCounter("larpredictor_forecasts_total", []string{"source", SourceLastResort}, lastResort)
-	if degraded+lastResort == 0 {
+	if tourney+selector+lastResort == 0 {
 		t.Error("degraded forecast counted on neither fallback source")
 	}
 
@@ -81,16 +83,16 @@ func TestOnlineHealthTransitionMetrics(t *testing.T) {
 	}
 
 	// Recovery: a clean calm stream must close the loop with a counted
-	// Degraded/Fallback -> Healthy transition.
+	// Tournament/Fallback -> Healthy transition.
 	phase := n
 	feedCalm(t, o, 300, &phase)
 	if got := o.Health(); got != Healthy {
 		t.Fatalf("health = %s after clean recovery stream, want Healthy", got)
 	}
 	vec := reg.Counter("larpredictor_health_transitions_total", "", "from", "to")
-	recovered := vec.WithLabels("Degraded", "Healthy").Value() +
+	recovered := vec.WithLabels("Tournament", "Healthy").Value() +
 		vec.WithLabels("Fallback", "Healthy").Value() +
-		vec.WithLabels("Fallback", "Degraded").Value()
+		vec.WithLabels("Fallback", "Tournament").Value()
 	if recovered == 0 {
 		t.Error("recovery left no transition back toward Healthy in the metrics")
 	}
@@ -104,8 +106,8 @@ func TestOnlineHealthTransitionMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(),
-		`larpredictor_health_transitions_total{from="Healthy",to="Degraded"} 1`) {
-		t.Errorf("exposition missing the Healthy->Degraded transition:\n%s", sb.String())
+		`larpredictor_health_transitions_total{from="Healthy",to="Tournament"} 1`) {
+		t.Errorf("exposition missing the Healthy->Tournament transition:\n%s", sb.String())
 	}
 }
 

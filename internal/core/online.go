@@ -23,36 +23,33 @@ var ErrFailed = errors.New("core: online predictor failed (retrain failure budge
 
 // Health is the online predictor's degradation state. The state machine is
 //
-//	Healthy → Tournament → Degraded → Fallback → Failed
+//	Healthy → Tournament → Fallback → Failed
 //
 // with recovery transitions back toward Healthy whenever a (re)train
-// succeeds and survives the breaker's half-open confirmation window. The
-// Tournament rung exists only when the tournament meta-selector is enabled
-// (OnlineConfig.Tournament / WithTournament); without it demotions go
-// straight to Degraded, preserving the original four-rung ladder.
+// succeeds and survives the breaker's half-open confirmation window.
+//
+// The numeric values are persisted by SaveState, exported on the
+// larpredictor_health_state gauge and hashed into the tournament context,
+// so they are fixed. Value 2 belonged to a retired rung and stays unused.
 type Health int
 
 const (
 	// Healthy serves forecasts from the trained LARPredictor.
-	Healthy Health = iota
+	Healthy Health = 0
 	// Tournament serves forecasts from the branch-predictor-style tournament
-	// meta-selector over the nonparametric pool: saturating per-expert
-	// confidence counters indexed by a context hash of the recent regime.
-	// Like Degraded it needs no training, but it is context-sensitive where
-	// the windowed-MSE selector is purely recency-weighted.
-	Tournament
-	// Degraded serves forecasts from the windowed cumulative-MSE selector
-	// (the NWS baseline needs no classifier and no training) while retrains
-	// are retried under backoff, or while the circuit breaker is open.
-	Degraded
+	// meta-selector over the nonparametric pool (saturating per-expert
+	// confidence counters indexed by a context hash of the recent regime)
+	// while retrains are retried under backoff, or while the circuit
+	// breaker is open. It needs no training.
+	Tournament Health = 1
 	// Fallback serves the last finite observation (the LAST expert): even
-	// the selector is unusable, typically because the trailing window holds
-	// non-finite samples.
-	Fallback
+	// the selectors are unusable, typically because the trailing window
+	// holds non-finite samples.
+	Fallback Health = 3
 	// Failed is terminal: FailureLimit consecutive retrains failed. Observe
 	// still records history but no further retrains are attempted and
 	// Forecast returns ErrFailed.
-	Failed
+	Failed Health = 4
 )
 
 // String implements fmt.Stringer.
@@ -62,8 +59,6 @@ func (h Health) String() string {
 		return "Healthy"
 	case Tournament:
 		return "Tournament"
-	case Degraded:
-		return "Degraded"
 	case Fallback:
 		return "Fallback"
 	case Failed:
@@ -123,24 +118,22 @@ type OnlineConfig struct {
 	ThrashLimit int
 	// FailureLimit moves the predictor to the terminal Failed state after
 	// this many consecutive retrain failures (0 = 3×BreakerThreshold;
-	// negative disables, keeping the predictor Degraded forever).
+	// negative disables, keeping the predictor degraded forever).
 	FailureLimit int
 	// FallbackWindow is the sliding window, in observations, of the
-	// degraded-mode cumulative-MSE selector (0 = AuditWindow).
+	// cumulative-MSE selector the tournament rides on (0 = AuditWindow).
 	FallbackWindow int
 
-	// Tournament, when non-nil, enables the tournament meta-selector tier
-	// between the LARPredictor and the windowed-MSE selector: demotions land
-	// on the Tournament rung and degraded forecasts are served by the
-	// tournament's context-indexed choice of nonparametric expert. The
-	// Experts field is overridden to the fallback-pool size; zero fields
-	// take the tournament package defaults.
+	// Tournament configures the tournament meta-selector that serves the
+	// Tournament rung: the context-indexed choice of nonparametric expert.
+	// nil, like zero fields, takes the tournament package defaults; the
+	// Experts field is overridden to the fallback-pool size.
 	Tournament *tournament.Config
 	// Drift, when non-nil, enables proactive drift demotion: a windowed
 	// error-ratio CUSUM over the active LAR model's squared forecast error
 	// (normalized space, the same stream the QA audits) that demotes a
 	// stale-but-not-yet-failing model to the tournament tier before the
-	// absolute QA threshold would fire. Requires Tournament.
+	// absolute QA threshold would fire. nil disables it.
 	Drift *tournament.DriftConfig
 }
 
@@ -157,9 +150,6 @@ func (c *OnlineConfig) validate() error {
 	}
 	if c.BackoffFactor != 0 && c.BackoffFactor < 1 {
 		return fmt.Errorf("core: backoff factor %g < 1: %w", c.BackoffFactor, ErrBadConfig)
-	}
-	if c.Drift != nil && c.Tournament == nil {
-		return fmt.Errorf("core: drift demotion requires the tournament tier: %w", ErrBadConfig)
 	}
 	for _, f := range []struct {
 		name string
@@ -186,7 +176,7 @@ func (c *OnlineConfig) validate() error {
 //
 // Online is fault tolerant: a failed (re)train no longer surfaces as an
 // Observe error. Instead the predictor degrades down an explicit ladder —
-// trained LARPredictor, then the windowed cumulative-MSE selector over a
+// trained LARPredictor, then the tournament meta-selector over a
 // nonparametric pool (LAST, SW_AVG, SW_MEDIAN), then the last finite
 // observation — while retrains are retried under exponential backoff and a
 // circuit breaker. Health reports the current rung. Not safe for concurrent
@@ -207,7 +197,7 @@ type Online struct {
 	auditLen  int
 
 	// pending holds the last LAR forecast, compared against the next
-	// observation. Degraded forecasts never arm pending: the QA audits the
+	// observation. Lower-rung forecasts never arm pending: the QA audits the
 	// LARPredictor, not the safety net.
 	pending    float64
 	hasPending bool
@@ -215,10 +205,14 @@ type Online struct {
 	sinceRetrain int
 	retrains     int
 
-	// Degraded-mode machinery.
-	health     Health
-	selector   *nws.Selector    // windowed cumulative-MSE fallback selector
-	fbPool     *predictors.Pool // nonparametric pool backing selector
+	// Lower-rung machinery.
+	health Health
+	// selector is the windowed cumulative-MSE fold over fbPool: it runs
+	// every expert on every window, feeding the tournament and the
+	// uncertainty estimates, and serves when the tournament's choice
+	// cannot forecast.
+	selector   *nws.Selector
+	fbPool     *predictors.Pool
 	tour       *tournament.Selector
 	drift      *tournament.DriftDetector
 	lastFinite float64
@@ -238,7 +232,7 @@ type Online struct {
 
 	retrainFailures     int
 	breakerTrips        int
-	degradedForecasts   int
+	selectorForecasts   int
 	fallbackForecasts   int
 	tournamentForecasts int
 	driftDemotions      int
@@ -314,21 +308,21 @@ func NewOnline(cfg OnlineConfig, opts ...Option) (*Online, error) {
 		return nil, fmt.Errorf("core: fallback selector: %w", err)
 	}
 	selector.Instrument(set.metrics)
-	var tour *tournament.Selector
-	var drift *tournament.DriftDetector
+	var tcfg tournament.Config
 	if cfg.Tournament != nil {
-		tcfg := *cfg.Tournament
-		tcfg.Experts = fbPool.Size()
-		tour, err = tournament.New(tcfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: tournament selector: %w", err)
-		}
-		tour.Instrument(set.metrics, fbPool.Names())
-		// Store the defaulted copy so snapshots compare against the
-		// effective configuration, mirroring the other config fields.
-		resolved := tour.Config()
-		cfg.Tournament = &resolved
+		tcfg = *cfg.Tournament
 	}
+	tcfg.Experts = fbPool.Size()
+	tour, err := tournament.New(tcfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: tournament selector: %w", err)
+	}
+	tour.Instrument(set.metrics, fbPool.Names())
+	// Store the defaulted copy so snapshots compare against the effective
+	// configuration, mirroring the other config fields.
+	resolved := tour.Config()
+	cfg.Tournament = &resolved
+	var drift *tournament.DriftDetector
 	if cfg.Drift != nil {
 		drift, err = tournament.NewDetector(*cfg.Drift)
 		if err != nil {
@@ -355,17 +349,6 @@ func NewOnline(cfg OnlineConfig, opts ...Option) (*Online, error) {
 		// as thrash.
 		thrashSpacing: minFire + cfg.AuditWindow/2,
 	}, nil
-}
-
-// degradeRung is the first rung below Healthy: Tournament when the
-// tournament tier is enabled, Degraded otherwise. Every demotion from
-// Healthy routes through it so the ladder keeps its original shape when
-// the tier is off.
-func (o *Online) degradeRung() Health {
-	if o.tour != nil {
-		return Tournament
-	}
-	return Degraded
 }
 
 // setHealth moves the health state machine to h, recording the transition
@@ -416,13 +399,14 @@ type HealthStats struct {
 	// BreakerTrips counts how many times the breaker opened (failures or
 	// thrash).
 	BreakerTrips int
-	// DegradedForecasts counts forecasts served by the fallback selector.
-	DegradedForecasts int
+	// TournamentForecasts counts forecasts served by the tournament
+	// meta-selector.
+	TournamentForecasts int
+	// SelectorForecasts counts forecasts served by the windowed-MSE
+	// selector when the tournament's chosen expert could not forecast.
+	SelectorForecasts int
 	// FallbackForecasts counts last-resort (last finite value) forecasts.
 	FallbackForecasts int
-	// TournamentForecasts counts forecasts served by the tournament
-	// meta-selector tier (always 0 when the tier is disabled).
-	TournamentForecasts int
 	// DriftDemotions counts proactive Healthy→Tournament demotions fired by
 	// the drift detector (always 0 when drift demotion is disabled).
 	DriftDemotions int
@@ -444,9 +428,9 @@ func (o *Online) HealthStats() HealthStats {
 		RetrainFailures:     o.retrainFailures,
 		Retrains:            o.retrains,
 		BreakerTrips:        o.breakerTrips,
-		DegradedForecasts:   o.degradedForecasts,
-		FallbackForecasts:   o.fallbackForecasts,
 		TournamentForecasts: o.tournamentForecasts,
+		SelectorForecasts:   o.selectorForecasts,
+		FallbackForecasts:   o.fallbackForecasts,
 		DriftDemotions:      o.driftDemotions,
 		NextAttemptIn:       o.backoffLeft,
 	}
@@ -535,7 +519,7 @@ func (o *Online) Observe(v float64) (retrained bool, err error) {
 
 	// Proactive drift demotion: the active model's recent error has run
 	// persistently above its own long-run level. Demote to the tournament
-	// tier now — the ordinary degraded-rung retry path then retrains it —
+	// tier now — the Tournament rung's retry path then retrains it —
 	// rather than waiting for the QA audit's absolute threshold. Gated on
 	// the same spacing as QA retrains so a shift right after a (re)train
 	// cannot thrash the ladder.
@@ -545,7 +529,7 @@ func (o *Online) Observe(v float64) (retrained bool, err error) {
 		if o.met != nil {
 			o.met.driftDemotions.Inc()
 		}
-		o.setHealth(o.degradeRung())
+		o.setHealth(Tournament)
 	}
 
 	// Half-open: a probe model is serving. A fresh QA breach reopens the
@@ -572,7 +556,7 @@ func (o *Online) Observe(v float64) (retrained bool, err error) {
 			return o.attemptTrain(), nil
 		}
 	case o.health != Healthy:
-		// Degraded by a failed retrain with the breaker still closed:
+		// Demoted by a failed retrain with the breaker still closed:
 		// retry when the backoff expires, no QA signal needed.
 		if o.backoffLeft == 0 {
 			return o.attemptTrain(), nil
@@ -583,10 +567,10 @@ func (o *Online) Observe(v float64) (retrained bool, err error) {
 	return false, nil
 }
 
-// foldSelector folds one observation into the fallback selector's error
-// statistics so the safety net is warm the moment a retrain fails. Called
-// before v is appended, so the trailing history is the prediction window
-// that precedes v.
+// foldSelector folds one observation into the selectors' error statistics
+// so the safety net is warm the moment a retrain fails. Called before v is
+// appended, so the trailing history is the prediction window that
+// precedes v.
 func (o *Online) foldSelector(v float64) {
 	m := o.cfg.Predictor.WindowSize
 	if len(o.history) < m {
@@ -596,14 +580,14 @@ func (o *Online) foldSelector(v float64) {
 	if !allFinite(w) || !isFinite(v) {
 		// The selectors cannot run on this window; if one is the active
 		// forecast source, drop to the last-resort rung.
-		if o.health == Degraded || o.health == Tournament {
+		if o.health == Tournament {
 			o.setHealth(Fallback)
 		}
 		return
 	}
 	step, err := o.selector.Step(w, v)
 	if err != nil {
-		if o.health == Degraded || o.health == Tournament {
+		if o.health == Tournament {
 			o.setHealth(Fallback)
 		}
 		return
@@ -612,12 +596,10 @@ func (o *Online) foldSelector(v float64) {
 	// pool, same predictor runs, no extra allocations. The current health
 	// rung tags the context hash so regimes that only differ in ladder
 	// position learn separate choice tables.
-	if o.tour != nil {
-		o.tour.SetTag(uint8(o.health))
-		o.tour.Observe(step.All, v)
-	}
+	o.tour.SetTag(uint8(o.health))
+	o.tour.Observe(step.All, v)
 	if o.health == Fallback {
-		o.setHealth(o.degradeRung())
+		o.setHealth(Tournament)
 	}
 }
 
@@ -673,11 +655,11 @@ func (o *Online) attemptTrain() bool {
 	}
 	if probe {
 		// The probe succeeded; serve the fresh model but stay formally on
-		// the degraded rung until it survives the half-open confirmation
+		// the Tournament rung until it survives the half-open confirmation
 		// window.
 		o.halfOpen = true
 		o.halfOpenLeft = o.cfg.HalfOpenWindow
-		o.setHealth(o.degradeRung())
+		o.setHealth(Tournament)
 		return true
 	}
 	o.setHealth(Healthy)
@@ -707,7 +689,7 @@ func (o *Online) trainFailed(err error) {
 		o.met.retrainFailures.Inc()
 	}
 	if o.health == Healthy {
-		o.setHealth(o.degradeRung())
+		o.setHealth(Tournament)
 	}
 	if o.cfg.FailureLimit > 0 && o.consecFailures >= o.cfg.FailureLimit {
 		o.setHealth(Failed)
@@ -763,7 +745,7 @@ func (o *Online) reopenBreaker() {
 // deeper rung (Fallback/Failed).
 func (o *Online) breakerDegrade() {
 	if o.health == Healthy {
-		o.setHealth(o.degradeRung())
+		o.setHealth(Tournament)
 	}
 }
 
@@ -802,13 +784,13 @@ func (o *Online) train() error {
 // usable:
 //
 //  1. the trained LARPredictor (Healthy, or half-open breaker probes),
-//  2. the tournament meta-selector over {LAST, SW_AVG, SW_MEDIAN}, when the
-//     tier is enabled,
-//  3. the windowed cumulative-MSE selector over the same pool,
-//  4. the last finite observation.
+//  2. the tournament meta-selector over {LAST, SW_AVG, SW_MEDIAN}; when its
+//     chosen expert cannot forecast the window, the windowed cumulative-MSE
+//     selector over the same pool serves instead (SourceSelector),
+//  3. the last finite observation.
 //
 // Prediction.Source identifies the rung. LAR forecasts are remembered and
-// scored against the next Observe; degraded forecasts are not, so the QA
+// scored against the next Observe; lower-rung forecasts are not, so the QA
 // audit always measures the LARPredictor itself. ErrFailed is returned in
 // the terminal Failed state, ErrNotReady when nothing can forecast yet.
 func (o *Online) Forecast() (Prediction, error) {
@@ -855,8 +837,8 @@ func (o *Online) larForecast() (Prediction, error) {
 	return p, nil
 }
 
-// degradedForecast serves the selector rung, falling through to the
-// last-resort rung when the selector cannot run.
+// degradedForecast serves the tournament rung, falling through to the
+// last-resort rung when the selectors cannot run.
 func (o *Online) degradedForecast() (Prediction, error) {
 	sp := obs.StartSpan(o.tracer, obs.StageFallbackForecast)
 	p, err := o.degradedForecastInner()
@@ -869,33 +851,31 @@ func (o *Online) degradedForecastInner() (Prediction, error) {
 	if len(o.history) >= m {
 		w := o.history[len(o.history)-m:]
 		if allFinite(w) {
-			// Tournament rung: the context-indexed choice of expert, when
-			// the tier is enabled. Falls through to the windowed-MSE
-			// selector if the chosen expert cannot forecast this window.
-			if o.tour != nil {
-				sel := o.tour.Select()
-				if v, err := o.fbPool.At(sel).Predict(w); err == nil && isFinite(v) {
-					o.tournamentForecasts++
-					if o.met != nil {
-						o.met.forecastsTournament.Inc()
-					}
-					var std float64
-					if stats := o.selector.ErrStats(); isFinite(stats[sel]) && stats[sel] > 0 {
-						std = math.Sqrt(stats[sel])
-					}
-					return Prediction{
-						Value:        v,
-						Normalized:   o.normalizedIfTrained(v),
-						Selected:     sel,
-						SelectedName: o.fbPool.At(sel).Name(),
-						StdEstimate:  std,
-						Source:       SourceTournament,
-					}, nil
-				}
-			}
-			sel := o.selector.Select()
+			// The tournament's context-indexed choice of expert. Falls
+			// through to the windowed-MSE selector if the chosen expert
+			// cannot forecast this window.
+			sel := o.tour.Select()
 			if v, err := o.fbPool.At(sel).Predict(w); err == nil && isFinite(v) {
-				o.degradedForecasts++
+				o.tournamentForecasts++
+				if o.met != nil {
+					o.met.forecastsTournament.Inc()
+				}
+				var std float64
+				if stats := o.selector.ErrStats(); isFinite(stats[sel]) && stats[sel] > 0 {
+					std = math.Sqrt(stats[sel])
+				}
+				return Prediction{
+					Value:        v,
+					Normalized:   o.normalizedIfTrained(v),
+					Selected:     sel,
+					SelectedName: o.fbPool.At(sel).Name(),
+					StdEstimate:  std,
+					Source:       SourceTournament,
+				}, nil
+			}
+			sel = o.selector.Select()
+			if v, err := o.fbPool.At(sel).Predict(w); err == nil && isFinite(v) {
+				o.selectorForecasts++
 				if o.met != nil {
 					o.met.forecastsSelector.Inc()
 				}
@@ -921,7 +901,7 @@ func (o *Online) degradedForecastInner() (Prediction, error) {
 	if o.met != nil {
 		o.met.forecastsLastResort.Inc()
 	}
-	if o.health == Degraded || o.health == Tournament {
+	if o.health == Tournament {
 		o.setHealth(Fallback)
 	}
 	return Prediction{

@@ -15,13 +15,12 @@ type Option func(*optionSet)
 
 // optionSet is the resolved option state a constructor applies.
 type optionSet struct {
-	pool       *predictors.Pool
-	vote       knn.VoteStrategy
-	voteSet    bool
-	metrics    *obs.Registry
-	tracer     obs.Tracer
-	tournament *tournament.Config
-	drift      *tournament.DriftConfig
+	pool    *predictors.Pool
+	vote    knn.VoteStrategy
+	voteSet bool
+	metrics *obs.Registry
+	tracer  obs.Tracer
+	drift   *tournament.DriftConfig
 }
 
 func applyOptions(opts []Option) optionSet {
@@ -74,25 +73,13 @@ func WithTracer(t obs.Tracer) Option {
 // applyOnline folds streaming-only options into an OnlineConfig; NewOnline
 // calls it after apply. Options win over the corresponding config fields.
 func (s *optionSet) applyOnline(cfg *OnlineConfig) {
-	if s.tournament != nil {
-		cfg.Tournament = s.tournament
-	}
 	if s.drift != nil {
 		cfg.Drift = s.drift
 	}
 }
 
-// WithTournament enables the tournament meta-selector tier on an Online
-// predictor (see OnlineConfig.Tournament), overriding that field. The zero
-// Config selects the package defaults; Experts is always overridden to the
-// fallback-pool size. Ignored by New.
-func WithTournament(cfg tournament.Config) Option {
-	return func(s *optionSet) { s.tournament = &cfg }
-}
-
 // WithDrift enables proactive drift demotion on an Online predictor (see
-// OnlineConfig.Drift), overriding that field. Requires the tournament tier.
-// Ignored by New.
+// OnlineConfig.Drift), overriding that field. Ignored by New.
 func WithDrift(cfg tournament.DriftConfig) Option {
 	return func(s *optionSet) { s.drift = &cfg }
 }

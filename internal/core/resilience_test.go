@@ -39,7 +39,7 @@ func feedCalm(t *testing.T, o *Online, n int, phase *int) {
 // must degrade visibly instead of silently staying Healthy.
 func TestOnlineFailedTrainArmsBackoff(t *testing.T) {
 	cfg := resilienceCfg()
-	cfg.FailureLimit = -1 // stay Degraded forever; Failed has its own test
+	cfg.FailureLimit = -1 // stay demoted forever; Failed has its own test
 	o, err := NewOnline(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +72,8 @@ func TestOnlineFailedTrainArmsBackoff(t *testing.T) {
 	if !hs.BreakerOpen {
 		t.Error("breaker not open while failures persist")
 	}
-	if got := o.Health(); got != Degraded && got != Fallback {
-		t.Errorf("health = %s, want Degraded or Fallback", got)
+	if got := o.Health(); got != Tournament && got != Fallback {
+		t.Errorf("health = %s, want Tournament or Fallback", got)
 	}
 	if o.LastError() == nil {
 		t.Error("LastError lost the train failure")
@@ -81,7 +81,7 @@ func TestOnlineFailedTrainArmsBackoff(t *testing.T) {
 	if hs.NextAttemptIn <= 0 {
 		t.Error("no backoff armed after a failed attempt")
 	}
-	// Degraded, not dead: forecasts still flow from the fallback ladder.
+	// Demoted, not dead: forecasts still flow from the fallback ladder.
 	p, err := o.Forecast()
 	if err != nil {
 		t.Fatalf("Forecast while degraded: %v", err)
@@ -130,7 +130,7 @@ func TestOnlineFailureBudgetTerminal(t *testing.T) {
 }
 
 // TestOnlineFallbackLadder walks the ladder end to end: Healthy serves LAR;
-// a failed retrain degrades to the windowed-MSE selector; a non-finite
+// a failed retrain demotes to the tournament rung; a non-finite
 // window drops to the last-resort rung; clean data recovers to Healthy.
 func TestOnlineFallbackLadder(t *testing.T) {
 	cfg := resilienceCfg()
@@ -169,20 +169,20 @@ func TestOnlineFallbackLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if o.Health() != Degraded {
-		t.Fatalf("health = %s after failed retrain, want Degraded", o.Health())
+	if o.Health() != Tournament {
+		t.Fatalf("health = %s after failed retrain, want Tournament", o.Health())
 	}
 	p, err = o.Forecast()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Source != SourceSelector {
-		t.Errorf("degraded forecast Source = %q, want %q", p.Source, SourceSelector)
+	if p.Source != SourceTournament {
+		t.Errorf("degraded forecast Source = %q, want %q", p.Source, SourceTournament)
 	}
 	if p.SelectedName == "" {
 		t.Error("degraded forecast has no selected expert name")
 	}
-	if o.HealthStats().DegradedForecasts == 0 {
+	if o.HealthStats().TournamentForecasts == 0 {
 		t.Error("degraded forecast not counted")
 	}
 
@@ -267,8 +267,8 @@ func TestOnlineBreakerProbesAndCloses(t *testing.T) {
 	if !hs.HalfOpen {
 		t.Fatal("no successful probe retrain after the fault cleared")
 	}
-	if o.Health() != Degraded {
-		t.Errorf("health = %s during half-open confirmation, want Degraded", o.Health())
+	if o.Health() != Tournament {
+		t.Errorf("health = %s during half-open confirmation, want Tournament", o.Health())
 	}
 	// Half-open serves the fresh LAR model so the audit can judge it.
 	p, err := o.Forecast()
@@ -324,8 +324,8 @@ func TestOnlineThrashTripsBreaker(t *testing.T) {
 	if hs.Retrains < cfg.ThrashLimit {
 		t.Errorf("breaker tripped after only %d retrains, thrash limit is %d", hs.Retrains, cfg.ThrashLimit)
 	}
-	if o.Health() != Degraded {
-		t.Errorf("health = %s after a thrash trip, want Degraded", o.Health())
+	if o.Health() != Tournament {
+		t.Errorf("health = %s after a thrash trip, want Tournament", o.Health())
 	}
 }
 

@@ -10,20 +10,10 @@ import (
 	"github.com/acis-lab/larpredictor/internal/tournament"
 )
 
-// tournamentCfg is resilienceCfg with the tournament tier (and optionally
-// drift demotion) enabled.
-func tournamentCfg() OnlineConfig {
-	cfg := onlineCfg(5, 20)
-	cfg.Tournament = &tournament.Config{}
-	return cfg
-}
-
-// TestTournamentTierServesDegradedForecasts: with the tier enabled,
-// demotions land on the Tournament rung and degraded forecasts carry
-// SourceTournament — the new tier sits between LAR and the windowed-MSE
-// selector.
+// TestTournamentTierServesDegradedForecasts: demotions land on the
+// Tournament rung and its forecasts carry SourceTournament.
 func TestTournamentTierServesDegradedForecasts(t *testing.T) {
-	cfg := tournamentCfg()
+	cfg := onlineCfg(5, 20)
 	cfg.FailureLimit = -1
 	o, err := NewOnline(cfg)
 	if err != nil {
@@ -47,7 +37,7 @@ func TestTournamentTierServesDegradedForecasts(t *testing.T) {
 		}
 	}
 	if got := o.Health(); got != Tournament {
-		t.Fatalf("health = %s with the tier enabled, want Tournament", got)
+		t.Fatalf("health = %s, want Tournament", got)
 	}
 	p, err := o.Forecast()
 	if err != nil {
@@ -65,48 +55,12 @@ func TestTournamentTierServesDegradedForecasts(t *testing.T) {
 	}
 }
 
-// TestTournamentDisabledKeepsLadderShape: without the tier the ladder is
-// unchanged — demotions land on Degraded and no Tournament rung appears.
-func TestTournamentDisabledKeepsLadderShape(t *testing.T) {
-	cfg := onlineCfg(5, 20)
-	cfg.FailureLimit = -1
-	o, err := NewOnline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		v := 10 * math.Sin(float64(i)*0.05)
-		if i%10 == 9 {
-			v = math.NaN()
-		}
-		if _, err := o.Observe(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := o.Health(); got == Tournament {
-		t.Fatal("Tournament rung reached with the tier disabled")
-	}
-	if hs := o.HealthStats(); hs.TournamentForecasts != 0 {
-		t.Errorf("%d tournament forecasts with the tier disabled", hs.TournamentForecasts)
-	}
-}
-
-// TestDriftRequiresTournament pins the config invariant.
-func TestDriftRequiresTournament(t *testing.T) {
-	cfg := onlineCfg(5, 20)
-	cfg.Drift = &tournament.DriftConfig{}
-	if _, err := NewOnline(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("drift without tournament: err = %v, want ErrBadConfig", err)
-	}
-}
-
 // TestDriftDemotionFiresBeforeQA: a regime shift that raises the model's
 // error well above its own baseline — but below the absolute QA threshold —
 // must still demote the model, via the drift detector's relative test.
 func TestDriftDemotionFiresBeforeQA(t *testing.T) {
 	cfg := onlineCfg(5, 60)
 	cfg.MSEThreshold = 1e6 // the absolute audit can never fire
-	cfg.Tournament = &tournament.Config{}
 	cfg.Drift = &tournament.DriftConfig{}
 	o, err := NewOnline(cfg)
 	if err != nil {
@@ -147,11 +101,10 @@ func TestDriftDemotionFiresBeforeQA(t *testing.T) {
 }
 
 // TestOnlineTournamentStateRoundTrip: snapshots of a predictor with the
-// tournament tier and drift detector enabled must round-trip bit-identically
-// and resume with identical behavior — the contract WAL replay and cluster
-// handoff rely on.
+// drift detector enabled must round-trip bit-identically and resume with
+// identical behavior — the contract WAL replay and cluster handoff rely on.
 func TestOnlineTournamentStateRoundTrip(t *testing.T) {
-	cfg := tournamentCfg()
+	cfg := onlineCfg(5, 20)
 	cfg.Drift = &tournament.DriftConfig{}
 	o, err := NewOnline(cfg)
 	if err != nil {
@@ -212,36 +165,67 @@ func TestOnlineTournamentStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOnlineTournamentPresenceMismatch: a snapshot with the tier enabled
-// cannot restore into a predictor without it, and vice versa.
+// TestOnlineTournamentPresenceMismatch: every snapshot carries the
+// tournament tier, so one without it is rejected; drift presence must
+// match between snapshot and predictor.
 func TestOnlineTournamentPresenceMismatch(t *testing.T) {
-	withTier, err := NewOnline(tournamentCfg())
+	plain, err := NewOnline(onlineCfg(5, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := NewOnline(onlineCfg(5, 20))
+	driftCfg := onlineCfg(5, 20)
+	driftCfg.Drift = &tournament.DriftConfig{}
+	withDrift, err := NewOnline(driftCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTier := rewriteState(t, plain, func(s *onlineState) { s.HasTournament = false })
+	if err := plain.RestoreState(bytes.NewReader(noTier)); !errors.Is(err, ErrStateMismatch) {
+		t.Errorf("snapshot without the tournament tier: err = %v, want ErrStateMismatch", err)
+	}
+	var buf bytes.Buffer
+	if err := withDrift.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.RestoreState(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrStateMismatch) {
+		t.Errorf("drift snapshot into plain predictor: err = %v, want ErrStateMismatch", err)
+	}
+	buf.Reset()
+	if err := plain.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := withDrift.RestoreState(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrStateMismatch) {
+		t.Errorf("plain snapshot into drift predictor: err = %v, want ErrStateMismatch", err)
+	}
+}
+
+// TestOnlineNilTournamentIsDefaults: a nil OnlineConfig.Tournament and the
+// zero tournament.Config resolve to the same tier, so their snapshots are
+// interchangeable.
+func TestOnlineNilTournamentIsDefaults(t *testing.T) {
+	implicit, err := NewOnline(onlineCfg(5, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := onlineCfg(5, 20)
+	cfg.Tournament = &tournament.Config{}
+	explicit, err := NewOnline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := withTier.SaveState(&buf); err != nil {
+	if err := implicit.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := without.RestoreState(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("tournament snapshot into plain predictor: err = %v, want ErrStateMismatch", err)
-	}
-	buf.Reset()
-	if err := without.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := withTier.RestoreState(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("plain snapshot into tournament predictor: err = %v, want ErrStateMismatch", err)
+	if err := explicit.RestoreState(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Errorf("nil-tournament snapshot into zero-config predictor: %v", err)
 	}
 }
 
 // TestStepTournamentZeroAlloc extends the steady-state zero-allocation
-// contract to a stream with the tournament tier and drift detector enabled:
-// both ride the existing selector fold, so they must add no heap traffic.
+// contract to predictd's stream configuration, tournament and drift
+// detector included: both ride the existing selector fold, so they must add
+// no heap traffic.
 func TestStepTournamentZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

@@ -79,7 +79,6 @@ func TestErrorEnvelopeShapes(t *testing.T) {
 		{"bulk bad limit", "GET", "/v1/forecasts?limit=0", "", 400, CodeBadLimit},
 		{"streams bad cursor", "GET", "/v1/streams?cursor=%ff", "", 400, CodeBadCursor},
 		{"streams bad limit", "GET", "/v1/streams?limit=zero", "", 400, CodeBadLimit},
-		{"streams deprecated bad offset", "GET", "/v1/streams?offset=-1", "", 400, CodeBadRequest},
 		{"subscribe missing streams", "GET", "/v1/subscribe", "", 400, CodeBadRequest},
 		{"subscribe too many streams", "GET", "/v1/subscribe?streams=a,b,c,d", "", 400, CodeTooManyStreams},
 		{"subscribe bad resume id", "GET",
@@ -154,19 +153,6 @@ func TestStreamsCursorPagination(t *testing.T) {
 	}
 	if strings.Join(seen, "") != "abcde" {
 		t.Errorf("paginated IDs = %v, want sorted a..e exactly once", seen)
-	}
-
-	// Deprecated offset form: same answer, flagged.
-	var sr StreamsResponse
-	resp := getJSON(t, env.ts.URL+"/v1/streams?offset=2&limit=2", &sr)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("offset streams status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("offset request missing Deprecation header")
-	}
-	if len(sr.Streams) != 2 || sr.Streams[0].ID != "c" || sr.NextOffset == nil || *sr.NextOffset != 4 {
-		t.Errorf("offset page = %+v, want c,d with next_offset 4", sr)
 	}
 }
 

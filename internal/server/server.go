@@ -459,15 +459,11 @@ type StreamDoc struct {
 }
 
 // StreamsResponse is the paginated stream listing: streams sorted by ID.
-// The current contract is cursor-based — NextCursor carries the opaque
-// cursor for the next page while more remain; pass it back as ?cursor=.
-// Offset/NextOffset serve the deprecated offset-style contract (answered
-// with a Deprecation header) for one more release.
+// NextCursor carries the opaque cursor for the next page while more
+// remain; pass it back as ?cursor=.
 type StreamsResponse struct {
 	Total      int         `json:"total"`
-	Offset     int         `json:"offset"`
 	Streams    []StreamDoc `json:"streams"`
-	NextOffset *int        `json:"next_offset,omitempty"`
 	NextCursor string      `json:"next_cursor,omitempty"`
 }
 
@@ -916,9 +912,8 @@ func (s *Server) streamIDsAfter(cursor string) []string {
 const maxStreamsPage = 1000
 
 // handleStreams serves the paginated, ID-sorted stream listing. The
-// current contract is cursor-based (?cursor=&limit=, next_cursor in the
-// body) and shared with the bulk forecast endpoint; the old offset contract
-// still works for one release, answered with a Deprecation header.
+// contract is cursor-based (?cursor=&limit=, next_cursor in the body) and
+// shared with the bulk forecast endpoint.
 func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	type row struct {
 		id string
@@ -939,34 +934,6 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			Poisoned:  rw.st.Poisoned,
 			Fault:     rw.st.Fault,
 		}
-	}
-
-	if r.URL.Query().Get("offset") != "" {
-		// Deprecated offset contract: unchanged semantics, flagged so
-		// clients migrate to cursors before the param is removed.
-		w.Header().Set("Deprecation", "true")
-		offset, err := queryInt(r, "offset", 0)
-		if err != nil || offset < 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad offset")
-			return
-		}
-		limit, err := queryInt(r, "limit", 100)
-		if err != nil || limit < 1 {
-			writeError(w, http.StatusBadRequest, CodeBadLimit, "bad limit")
-			return
-		}
-		if limit > maxStreamsPage {
-			limit = maxStreamsPage
-		}
-		resp := StreamsResponse{Total: len(rows), Offset: offset, Streams: []StreamDoc{}}
-		for i := offset; i < len(rows) && i < offset+limit; i++ {
-			resp.Streams = append(resp.Streams, streamDoc(rows[i]))
-		}
-		if next := offset + len(resp.Streams); next < len(rows) && len(resp.Streams) > 0 {
-			resp.NextOffset = &next
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
 
 	cursor, limit, errCode, errMsg := cursorParams(r.URL.Query(), 100)
@@ -998,15 +965,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// queryInt parses an optional integer query parameter.
-func queryInt(r *http.Request, key string, def int) (int, error) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return def, nil
-	}
-	return strconv.Atoi(v)
 }
 
 // writeJSON renders one response document.

@@ -230,13 +230,13 @@ func TestStreamsPagination(t *testing.T) {
 	}
 
 	var seen []string
-	offset := 0
+	cursor := ""
 	for page := 0; ; page++ {
 		if page > len(ids) {
 			t.Fatal("pagination did not terminate")
 		}
 		var sr StreamsResponse
-		url := fmt.Sprintf("%s/v1/streams?offset=%d&limit=2", env.ts.URL, offset)
+		url := fmt.Sprintf("%s/v1/streams?cursor=%s&limit=2", env.ts.URL, cursor)
 		if resp := getJSON(t, url, &sr); resp.StatusCode != http.StatusOK {
 			t.Fatalf("streams status = %d", resp.StatusCode)
 		}
@@ -246,17 +246,17 @@ func TestStreamsPagination(t *testing.T) {
 		for _, s := range sr.Streams {
 			seen = append(seen, s.ID)
 		}
-		if sr.NextOffset == nil {
+		if sr.NextCursor == "" {
 			break
 		}
-		offset = *sr.NextOffset
+		cursor = sr.NextCursor
 	}
 	if strings.Join(seen, "") != "abcde" {
 		t.Errorf("paginated IDs = %v, want sorted a..e exactly once", seen)
 	}
 
-	if resp := getJSON(t, env.ts.URL+"/v1/streams?offset=-1", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative offset status = %d, want 400", resp.StatusCode)
+	if resp := getJSON(t, env.ts.URL+"/v1/streams?limit=0", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("zero limit status = %d, want 400", resp.StatusCode)
 	}
 	if resp := getJSON(t, env.ts.URL+"/v1/streams?limit=zero", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit status = %d, want 400", resp.StatusCode)

@@ -25,8 +25,8 @@
 // observation, automatic initial training, and QA-triggered retraining. The
 // streaming predictor is fault tolerant: failed retrains back off
 // exponentially behind a circuit breaker while forecasts degrade down a
-// fallback ladder (trained model → windowed cumulative-MSE selector → last
-// finite observation) whose rung is reported by Health and
+// fallback ladder (trained model → tournament meta-selector → last finite
+// observation) whose rung is reported by Health and
 // Prediction.Source. Online.Step fuses one Observe with the following
 // Forecast for the common feed-and-predict loop. For benchmarking, Evaluate
 // scores the predictor against the perfect-selection oracle (P-LAR), every
@@ -82,13 +82,13 @@ type (
 	// Online is the streaming predictor with QA-driven retraining.
 	Online = core.Online
 	// Health is the streaming predictor's degradation state
-	// (Healthy → Tournament → Degraded → Fallback → Failed).
+	// (Healthy → Tournament → Fallback → Failed).
 	Health = core.Health
 	// HealthStats is a snapshot of the resilience machinery (circuit
 	// breaker, retrain backoff, fallback counters).
 	HealthStats = core.HealthStats
 	// TournamentConfig parameterizes the tournament meta-selector tier;
-	// see WithTournament and OnlineConfig.Tournament.
+	// see OnlineConfig.Tournament.
 	TournamentConfig = tournament.Config
 	// DriftConfig parameterizes proactive drift demotion; see WithDrift
 	// and OnlineConfig.Drift.
@@ -128,12 +128,9 @@ var (
 const (
 	// Healthy serves forecasts from the trained LARPredictor.
 	Healthy = core.Healthy
-	// Tournament serves the context-indexed tournament meta-selector; the
-	// rung exists only when the tier is enabled (WithTournament).
+	// Tournament serves the context-indexed tournament meta-selector while
+	// retrains back off or the circuit breaker is open.
 	Tournament = core.Tournament
-	// Degraded serves the windowed cumulative-MSE selector while retrains
-	// back off or the circuit breaker is open.
-	Degraded = core.Degraded
 	// Fallback serves the last finite observation.
 	Fallback = core.Fallback
 	// Failed is terminal; Forecast returns ErrFailed.
@@ -144,11 +141,12 @@ const (
 const (
 	// SourceLAR marks a forecast served by the trained LARPredictor.
 	SourceLAR = core.SourceLAR
-	// SourceTournament marks a degraded-mode forecast from the tournament
-	// meta-selector tier.
+	// SourceTournament marks a Tournament-rung forecast from the tournament
+	// meta-selector.
 	SourceTournament = core.SourceTournament
-	// SourceSelector marks a degraded-mode forecast from the windowed
-	// cumulative-MSE selector.
+	// SourceSelector marks a Tournament-rung forecast from the windowed
+	// cumulative-MSE selector, served when the tournament's chosen expert
+	// cannot forecast the window.
 	SourceSelector = core.SourceSelector
 	// SourceLastResort marks a last-finite-observation forecast.
 	SourceLastResort = core.SourceLastResort
@@ -174,18 +172,10 @@ func WithPool(p *Pool) Option { return core.WithPool(p) }
 // Config.Vote.
 func WithVote(v VoteStrategy) Option { return core.WithVote(v) }
 
-// WithTournament enables the tournament meta-selector tier on an Online
-// predictor: a branch-predictor-style table of saturating per-expert
-// confidence counters, indexed by a hash of the recent regime, that serves
-// degraded-mode forecasts between the LARPredictor and the windowed-MSE
-// selector. The zero TournamentConfig selects the defaults.
-func WithTournament(cfg TournamentConfig) Option { return core.WithTournament(cfg) }
-
 // WithDrift enables proactive drift demotion on an Online predictor: a
 // relative CUSUM over the active model's forecast error that demotes a
 // stale model to the tournament tier before the QA audit's absolute
-// threshold fires. Requires WithTournament. The zero DriftConfig selects
-// the defaults.
+// threshold fires. The zero DriftConfig selects the defaults.
 func WithDrift(cfg DriftConfig) Option { return core.WithDrift(cfg) }
 
 // New validates the configuration and returns an untrained LARPredictor.
