@@ -54,7 +54,7 @@ func walSeedBytes(f *testing.F) []byte {
 				Seq:    seq,
 			}
 		}
-		if err := w.Append(encodeWALBatch(batch)); err != nil {
+		if err := w.Append(appendWALBatch(nil, batch)); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayOnce := func(dir string) (records int, applied uint64, ok bool) {
-			ws, err := openWALStore(dir, 0, nil, io.Discard)
+			ws, err := openWALStore(dir, nil, io.Discard)
 			if err != nil {
 				return 0, 0, false
 			}

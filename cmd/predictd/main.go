@@ -61,7 +61,6 @@ func main() {
 		stateDir   = flag.String("state", "", "state directory for durable snapshots; empty runs stateless")
 		snapEvery  = flag.Duration("snapshot-every", 5*time.Minute, "interval between durable snapshots (0 disables periodic snapshots)")
 		durability = flag.String("durability", "snapshot", "durability mode: snapshot (acks best-effort until the next snapshot) or wal (every ack fsynced to a write-ahead log; requires -state and -backpressure=block)")
-		walSync    = flag.Duration("wal-sync", 2*time.Millisecond, "group-commit window: max time an acked batch waits for its shared fsync (0 syncs every batch)")
 		inflight   = flag.Int("max-inflight", 256, "max concurrently served /v1 requests before shedding with 503")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout")
 		maxBody    = flag.Int64("max-body", 1<<20, "max ingest request body bytes")
@@ -93,7 +92,6 @@ func main() {
 		stateDir:     *stateDir,
 		snapEvery:    *snapEvery,
 		durability:   *durability,
-		walSync:      *walSync,
 		maxInFlight:  *inflight,
 		reqTimeout:   *reqTimeout,
 		maxBody:      *maxBody,
@@ -130,7 +128,6 @@ type options struct {
 	stateDir     string
 	snapEvery    time.Duration
 	durability   string
-	walSync      time.Duration
 	maxInFlight  int
 	reqTimeout   time.Duration
 	maxBody      int64
@@ -301,7 +298,7 @@ func run(ctx context.Context, out io.Writer, o options) error {
 		if walMode {
 			// Open the WAL before restoring so the snapshot's dedup table
 			// is in place when replay runs.
-			ws, err = openWALStore(o.stateDir, o.walSync, reg, os.Stderr)
+			ws, err = openWALStore(o.stateDir, reg, os.Stderr)
 			if err != nil {
 				return err
 			}

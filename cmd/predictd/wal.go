@@ -8,7 +8,6 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/acis-lab/larpredictor/internal/durable"
 	"github.com/acis-lab/larpredictor/internal/engine"
@@ -19,20 +18,26 @@ import (
 // WAL durability mode makes the 202 ack a real promise: every ingest batch
 // is deduplicated against the idempotency table, appended to a CRC-framed
 // batch WAL, and group-commit fsynced before any sample is enqueued — so a
-// kill -9 after the ack can never lose the batch. Restart restores the last
-// snapshot, then replays the WAL through the normal engine ingest path
-// (torn or undecodable tails are truncated away, a foreign file is
-// quarantined, exactly like monitord's recovery). A completed snapshot
-// truncates the WAL, since everything it protected is now in the snapshot.
+// kill -9 after the ack can never lose the batch. The group commit is
+// leader/follower with no timer: a commit that finds no fsync in flight
+// fsyncs at once, and commits arriving during that fsync share the next
+// one. Restart restores the last snapshot, then replays the WAL through the
+// normal engine ingest path (torn or undecodable tails are truncated away,
+// a foreign file is quarantined, exactly like monitord's recovery). A
+// completed snapshot truncates the WAL, since everything it protected is
+// now in the snapshot.
 //
 // Locking: request-path commits hold mu.RLock across dedup+append+enqueue;
 // the snapshot path holds mu.Lock across drain+capture+reset, so no batch
 // can land between "in the snapshot" and "in the WAL" — each acked sample
 // is durably in exactly one of the two. A cluster handoff capture holds
-// mu.Lock too, so the dedup coverage it ships matches the predictor state. commitMu additionally serializes
-// dedup-mark+append so a concurrent duplicate (a client retrying a batch
-// whose first send is still in flight) can never pass the dedup check
-// twice; a mark only survives commitMu release if its record was appended.
+// mu.Lock too, so the dedup coverage it ships matches the predictor state.
+// A commit holds its RLock until its fsync completes, so a snapshot can never
+// reset the WAL under an fsync that is still to cover it. commitMu
+// additionally serializes dedup-mark+append so a concurrent duplicate (a
+// client retrying a batch whose first send is still in flight) can never
+// pass the dedup check twice; a mark only survives commitMu release if its
+// record was appended.
 
 // walStore owns predictd's write-ahead log, idempotency table, and group
 // syncer.
@@ -42,6 +47,12 @@ type walStore struct {
 	wal      *durable.BatchWAL
 	dedup    *server.Dedup
 	sync     *groupSyncer
+
+	// Commit scratch, reused under commitMu: the batch's fresh samples and
+	// its encoded WAL record (Append copies the record, so the buffer is
+	// free again once it returns).
+	fresh []server.KeyedSample
+	enc   []byte
 
 	// pending holds the records recovered at open, until replay consumes
 	// them.
@@ -57,10 +68,8 @@ func walPath(dir string) string { return filepath.Join(dir, "predictd.wal") }
 
 // openWALStore opens (or creates) the state directory's WAL, recovering its
 // intact records for replay. A file that is not a predictd WAL is
-// quarantined and a fresh log started; a torn tail is truncated. syncEvery
-// is the group-commit window: appends buffer for at most that long before
-// one fsync covers them all (0 syncs every commit).
-func openWALStore(dir string, syncEvery time.Duration, reg *obs.Registry, logw io.Writer) (*walStore, error) {
+// quarantined and a fresh log started; a torn tail is truncated.
+func openWALStore(dir string, reg *obs.Registry, logw io.Writer) (*walStore, error) {
 	ws := &walStore{dedup: server.NewDedup()}
 	if reg != nil {
 		ws.appends = reg.Counter1("predictd_wal_appends_total",
@@ -92,9 +101,13 @@ func openWALStore(dir string, syncEvery time.Duration, reg *obs.Registry, logw i
 	}
 	ws.wal = w
 	ws.pending = recs
-	ws.sync = newGroupSyncer(w.Sync, syncEvery)
+	ws.sync = newGroupSyncer(w.Sync, logw)
 	return ws, nil
 }
+
+// samplePool recycles the engine batches commits build; IngestBatch does not
+// retain its slice.
+var samplePool = sync.Pool{New: func() any { return new([]engine.Sample) }}
 
 // ingest is the request-path commit, wired as server.Config.Ingest: dedup,
 // durable append, group-commit fsync, then the normal engine enqueue. When
@@ -105,7 +118,7 @@ func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (acce
 	defer ws.mu.RUnlock()
 
 	ws.commitMu.Lock()
-	fresh := make([]server.KeyedSample, 0, len(batch))
+	fresh := ws.fresh[:0]
 	for _, ks := range batch {
 		if ks.Source != "" && ks.Seq != 0 && !ws.dedup.Apply(ks.ID, ks.Source, ks.Seq) {
 			deduped++
@@ -114,36 +127,47 @@ func (ws *walStore) ingest(eng *engine.Engine, batch []server.KeyedSample) (acce
 		}
 		fresh = append(fresh, ks)
 	}
-	var gen uint64
-	if len(fresh) > 0 {
-		if aerr := ws.wal.Append(encodeWALBatch(fresh)); aerr != nil {
-			// The batch did not commit: withdraw the marks so a client
-			// retry is admitted rather than silently deduplicated away.
-			for _, ks := range fresh {
-				if ks.Source != "" && ks.Seq != 0 {
-					ws.dedup.Revert(ks.ID, ks.Source, ks.Seq)
-				}
+	ws.fresh = fresh
+	if len(fresh) == 0 {
+		// Nothing to commit, but a duplicate may name a record that is
+		// still waiting for its fsync, or whose fsync failed: ack only
+		// once everything appended so far is durable.
+		gen := ws.sync.last()
+		ws.commitMu.Unlock()
+		return 0, deduped, ws.sync.wait(gen)
+	}
+	ws.enc = appendWALBatch(ws.enc[:0], fresh)
+	if aerr := ws.wal.Append(ws.enc); aerr != nil {
+		// The batch did not commit: withdraw the marks so a client
+		// retry is admitted rather than silently deduplicated away.
+		for _, ks := range fresh {
+			if ks.Source != "" && ks.Seq != 0 {
+				ws.dedup.Revert(ks.ID, ks.Source, ks.Seq)
 			}
-			ws.commitMu.Unlock()
-			return 0, deduped, aerr
 		}
-		ws.appends.Inc()
-		gen = ws.sync.noteAppend()
+		ws.commitMu.Unlock()
+		return 0, deduped, aerr
+	}
+	ws.appends.Inc()
+	gen := ws.sync.noteAppend()
+	// fresh is reused by the next commit once commitMu is released, so
+	// the engine batch is copied out first.
+	sp := samplePool.Get().(*[]engine.Sample)
+	samples := (*sp)[:0]
+	for _, ks := range fresh {
+		samples = append(samples, ks.Sample)
 	}
 	ws.commitMu.Unlock()
+	defer func() {
+		*sp = samples
+		samplePool.Put(sp)
+	}()
 
-	if len(fresh) == 0 {
-		return 0, deduped, nil
-	}
 	if serr := ws.sync.wait(gen); serr != nil {
 		// The fsync failed: durability is unknown, so refuse the ack. The
-		// marks stay — the record may well be on disk — and the client's
-		// retry will be deduplicated if it is.
+		// marks stay — the record may well be on disk, and replay after a
+		// restart applies it.
 		return 0, deduped, serr
-	}
-	samples := make([]engine.Sample, len(fresh))
-	for i, ks := range fresh {
-		samples[i] = ks.Sample
 	}
 	accepted, err = eng.IngestBatch(samples)
 	// Under the Block policy (which WAL mode requires) the only enqueue
@@ -203,6 +227,13 @@ func (ws *walStore) snapshot(st *snapStore, eng *engine.Engine, cache *server.Re
 	hist *server.HistoryStore) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	// After a failed fsync the dedup table holds marks for records whose
+	// durability is unknown. A snapshot would keep those marks and reset
+	// the WAL, losing the records for good; only a restart's replay may
+	// settle them.
+	if err := ws.sync.failed(); err != nil {
+		return err
+	}
 	eng.Drain()
 	if err := st.save(eng, cache, hist, ws.dedup); err != nil {
 		return err
@@ -210,7 +241,7 @@ func (ws *walStore) snapshot(st *snapStore, eng *engine.Engine, cache *server.Re
 	return ws.truncate()
 }
 
-// close stops the syncer and closes the log.
+// close fails any commit still waiting on the syncer and closes the log.
 func (ws *walStore) close() error {
 	ws.sync.close()
 	return ws.wal.Close()
@@ -218,79 +249,102 @@ func (ws *walStore) close() error {
 
 // ---- group-commit syncer ----
 
-// groupSyncer batches fsyncs: appenders note their append and wait; one
-// background fsync, at most every interval, covers every append noted
-// before it ran. This keeps the per-ack cost at one fsync per commit window
-// rather than one per request.
+var errSyncerClosed = errors.New("predictd: WAL syncer closed")
+
+// groupSyncer is a leader/follower group commit with no goroutine or timer
+// of its own. A committer that finds no fsync in flight becomes the leader
+// and fsyncs at once, covering every append noted so far. Committers that
+// arrive while that fsync runs wait, and the next leader's single fsync
+// covers all of them: the fsync's own duration is the commit window, so an
+// idle commit pays one fsync and a loaded log still shares each fsync
+// across every commit that queued behind it.
+//
+// The first fsync failure is latched. After a failed fsync the kernel may
+// drop the dirty pages it could not write, so a later successful fsync
+// proves nothing about them: every commit not covered by an earlier
+// successful fsync gets the error until the daemon restarts and replays.
 type groupSyncer struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	syncFn   func() error
-	interval time.Duration
+	mu     sync.Mutex
+	cond   *sync.Cond
+	syncFn func() error
+	logw   io.Writer
 
 	appended uint64 // generation of the newest append
-	synced   uint64 // generation covered by the last completed fsync
-	err      error  // outcome of the last fsync
+	synced   uint64 // generation covered by the last successful fsync
+	syncing  bool   // a leader's fsync is in flight
+	err      error  // first fsync failure, sticky
 	closed   bool
 }
 
-func newGroupSyncer(syncFn func() error, interval time.Duration) *groupSyncer {
-	g := &groupSyncer{syncFn: syncFn, interval: interval}
+func newGroupSyncer(syncFn func() error, logw io.Writer) *groupSyncer {
+	g := &groupSyncer{syncFn: syncFn, logw: logw}
 	g.cond = sync.NewCond(&g.mu)
-	go g.run()
 	return g
 }
 
-// noteAppend registers an append and returns its generation for wait.
+// noteAppend registers an append and returns its generation for wait. The
+// caller has already seen Append return, so an fsync started after this
+// covers the record.
 func (g *groupSyncer) noteAppend() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.appended++
-	gen := g.appended
-	g.cond.Broadcast()
-	return gen
+	return g.appended
 }
 
-// wait blocks until an fsync covering gen has completed and returns its
-// outcome.
+// last returns the generation of the newest append.
+func (g *groupSyncer) last() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.appended
+}
+
+// wait blocks until a successful fsync covers gen, leading that fsync
+// itself if none is in flight.
 func (g *groupSyncer) wait(gen uint64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.synced < gen && !g.closed {
-		g.cond.Wait()
+	for g.synced < gen {
+		switch {
+		case g.err != nil:
+			return g.err
+		case g.closed:
+			return errSyncerClosed
+		case g.syncing:
+			g.cond.Wait()
+		default:
+			g.lead()
+		}
 	}
-	if g.synced < gen {
-		return errors.New("predictd: WAL syncer closed")
+	return nil
+}
+
+// lead runs one fsync covering every append noted so far. It is called
+// with mu held and releases it for the fsync.
+func (g *groupSyncer) lead() {
+	target := g.appended
+	g.syncing = true
+	g.mu.Unlock()
+	err := g.syncFn()
+	g.mu.Lock()
+	g.syncing = false
+	if err == nil {
+		g.synced = target
+	} else {
+		g.err = err // wait leads only while err is nil: this is the first
+		fmt.Fprintf(g.logw, "predictd: WAL fsync failed; refusing acks until restart: %v\n", err)
 	}
+	g.cond.Broadcast()
+}
+
+// failed returns the latched fsync error, if any.
+func (g *groupSyncer) failed() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.err
 }
 
-func (g *groupSyncer) run() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for {
-		for g.appended == g.synced && !g.closed {
-			g.cond.Wait()
-		}
-		if g.closed {
-			return
-		}
-		if g.interval > 0 {
-			// Let the commit window fill so one fsync covers more acks.
-			g.mu.Unlock()
-			time.Sleep(g.interval)
-			g.mu.Lock()
-		}
-		target := g.appended
-		g.mu.Unlock()
-		err := g.syncFn()
-		g.mu.Lock()
-		g.synced = target
-		g.err = err
-		g.cond.Broadcast()
-	}
-}
-
+// close fails every commit still waiting for an fsync.
 func (g *groupSyncer) close() {
 	g.mu.Lock()
 	g.closed = true
@@ -310,8 +364,8 @@ const walBatchVersion = 1
 // record is not ours even though the checksum verified.
 const maxWALBatchSamples = 1 << 20
 
-func encodeWALBatch(batch []server.KeyedSample) []byte {
-	buf := make([]byte, 0, 1+10+len(batch)*32)
+// appendWALBatch appends batch's record payload to buf.
+func appendWALBatch(buf []byte, batch []server.KeyedSample) []byte {
 	buf = append(buf, walBatchVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	for _, ks := range batch {

@@ -31,6 +31,10 @@ type BatchWAL struct {
 	// scratch holds the framed record across Append calls so a steady-state
 	// appender reaches one Write syscall with no per-record allocation.
 	scratch []byte
+	// broken is set when a failed append could not be cut back off the
+	// file; every later Append returns it, so no record lands after the
+	// damage where recovery would never reach it.
+	broken error
 }
 
 // OpenBatchWAL opens (or creates) a batch write-ahead log and returns its
@@ -107,21 +111,39 @@ func (w *BatchWAL) Records() int { return len(w.ends) }
 
 // Append writes one record. The record is durable only after the next Sync.
 func (w *BatchWAL) Append(payload []byte) error {
+	if w.broken != nil {
+		return w.broken
+	}
 	if len(payload) > maxBatchRecord {
 		return fmt.Errorf("durable: batch WAL record %d bytes exceeds %d", len(payload), maxBatchRecord)
 	}
-	// A short write here leaves a torn tail; the next open truncates it, so
-	// the record is simply not committed.
 	w.scratch = AppendRecord(w.scratch[:0], payload)
+	end := w.end(len(w.ends))
 	if _, err := w.f.Write(w.scratch); err != nil {
+		// A short write (ENOSPC, EFBIG) leaves a torn record. Recovery
+		// stops at it, so a later record appended behind it — and fsynced
+		// and acked — would be truncated away on restart. Cut the torn
+		// bytes off before anything else is written.
+		terr := w.f.Truncate(end)
+		if terr == nil {
+			_, terr = w.f.Seek(end, io.SeekStart)
+		}
+		if terr != nil {
+			w.broken = fmt.Errorf("durable: batch WAL torn by failed append (%v): %w", err, terr)
+			return w.broken
+		}
 		return fmt.Errorf("durable: append batch WAL record: %w", err)
 	}
-	prev := int64(len(batchWALMagic))
-	if n := len(w.ends); n > 0 {
-		prev = w.ends[n-1]
-	}
-	w.ends = append(w.ends, prev+4+int64(len(payload))+4)
+	w.ends = append(w.ends, end+int64(len(w.scratch)))
 	return nil
+}
+
+// end returns the file offset just past the first n records.
+func (w *BatchWAL) end(n int) int64 {
+	if n == 0 {
+		return int64(len(batchWALMagic))
+	}
+	return w.ends[n-1]
 }
 
 // Sync fsyncs the log: every record appended so far survives a crash.
@@ -140,10 +162,7 @@ func (w *BatchWAL) TruncateRecords(keep int) error {
 	if keep < 0 || keep > len(w.ends) {
 		return fmt.Errorf("durable: truncate to %d of %d records", keep, len(w.ends))
 	}
-	end := int64(len(batchWALMagic))
-	if keep > 0 {
-		end = w.ends[keep-1]
-	}
+	end := w.end(keep)
 	if err := w.f.Truncate(end); err != nil {
 		return fmt.Errorf("durable: truncate batch WAL: %w", err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -203,5 +205,66 @@ func TestBatchWALHugeLengthTreatedAsCorrupt(t *testing.T) {
 	defer w2.Close()
 	if len(recs) != 1 || truncated == 0 {
 		t.Fatalf("huge length: %d records (want 1), truncated %d", len(recs), truncated)
+	}
+}
+
+// TestBatchWALShortWriteKeepsLaterRecords forces a short write with a small
+// RLIMIT_FSIZE: the kernel writes what fits and fails the rest with EFBIG.
+// The limit is process-wide, so the appends run in a child process (this
+// test binary re-executed). A record appended after the failed one must
+// survive reopen rather than sit behind a torn record recovery stops at.
+func TestBatchWALShortWriteKeepsLaterRecords(t *testing.T) {
+	if path := os.Getenv("DURABLE_SHORT_WRITE_WAL"); path != "" {
+		shortWriteChild(t, path)
+		return
+	}
+	path := filepath.Join(t.TempDir(), "batch.wal")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBatchWALShortWriteKeepsLaterRecords$")
+	cmd.Env = append(os.Environ(), "DURABLE_SHORT_WRITE_WAL="+path)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	w, recs, truncated := openBatch(t, path)
+	defer w.Close()
+	if truncated != 0 {
+		t.Errorf("reopen truncated %d bytes of torn tail", truncated)
+	}
+	want := [][]byte{[]byte("before"), []byte("after")}
+	if len(recs) != len(want) {
+		t.Fatalf("reopen returned %d records, want %d", len(recs), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(recs[i], want[i]) {
+			t.Errorf("record %d = %q, want %q", i, recs[i], want[i])
+		}
+	}
+}
+
+func shortWriteChild(t *testing.T, path string) {
+	w, _, _ := openBatch(t, path)
+	if err := w.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	var lim syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
+		t.Fatal(err)
+	}
+	short := lim
+	short.Cur = uint64(w.end(w.Records())) + 16 // room for part of the next record
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &short); err != nil {
+		t.Fatal(err)
+	}
+	err := w.Append(bytes.Repeat([]byte{'x'}, 256))
+	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err == nil {
+		t.Fatal("append past RLIMIT_FSIZE succeeded")
+	}
+	if err := w.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
